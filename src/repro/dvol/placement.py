@@ -8,8 +8,8 @@ every round still covers every shard exactly once).  Keeping whole
 chunks together is what preserves stripe adjacency *within a shard*:
 a logically-sequential run arrives at each shard as consecutive shard
 LPNs, which sequential allocation turns into physically stripe-adjacent
-pages — the shape both the local read coalescer and the network-port
-:class:`~repro.dvol.coalesce.RemoteCoalescer` merge.
+pages — the shape both the local read stage and the network service
+port's read :class:`~repro.flash.coalesce.Stager` merge.
 
 Everything here is pure integer math (hashing included — keyed BLAKE2s
 digests, no RNG state), so the hypothesis property tests drive the

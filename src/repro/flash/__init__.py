@@ -12,9 +12,9 @@ Layers, bottom-up:
   wear-scaled bit-error injection.
 * :mod:`~repro.flash.controller` — the tagged, out-of-order,
   error-corrected card controller (:class:`FlashCard`).
-* :mod:`~repro.flash.coalesce` — the splitter's admission-side
-  coalescing stage: stripe-adjacent page reads merge into multi-page
-  commands (:class:`Coalescer`).
+* :mod:`~repro.flash.coalesce` — the admission-side coalescing stage:
+  stripe-adjacent page reads or programs merge into multi-page
+  commands (:class:`Stager`).
 * :mod:`~repro.flash.splitter` — multi-user access with tag renaming.
 * :mod:`~repro.flash.server` — Flash Server: in-order streaming interface
   plus the Address Translation Unit for file-handle access.
@@ -29,7 +29,7 @@ from .chip import (
     ProgramError,
     ProgramFailedError,
 )
-from .coalesce import Coalescer, WriteCoalescer, first_group, plan_groups
+from .coalesce import Stager, first_group, plan_groups
 from .controller import (
     FlashCard,
     PartialReadError,
@@ -64,8 +64,7 @@ __all__ = [
     "UncorrectableError",
     "FlashSplitter",
     "SplitterPort",
-    "Coalescer",
-    "WriteCoalescer",
+    "Stager",
     "first_group",
     "plan_groups",
     "FlashServer",

@@ -5,11 +5,11 @@ issue/decode) for every operation, and every command occupies one
 admission slot.  Under deep queues that overhead is the difference
 between the advertised bandwidth and what a one-page-per-command
 interface reaches — so the splitter grows a *coalescing stage*: page
-reads arriving at a port are staged briefly, stripe-adjacent requests
-from the same tenant merge into one multi-page command (at most
-``max_pages``, never across a card boundary), and the merged command
-takes one port slot, one admission grant whose *cost* is the combined
-payload bytes, and one card command.
+operations arriving at a port are staged briefly, stripe-adjacent
+requests from the same tenant merge into one multi-page command (at
+most ``max_pages``, never across a card boundary), and the merged
+command takes one port slot, one admission grant whose *cost* is the
+combined payload bytes, and one card command.
 
 Adjacency is *stripe order* (:meth:`~repro.flash.geometry.FlashGeometry.
 striped_index`): the order a controller lays out sequential data, so a
@@ -21,6 +21,13 @@ Grouping is greedy in arrival order and is factored into the pure
 drive the planner without a simulator: groups partition their input
 exactly, stay within one tenant and one card, take stripe-consecutive
 pages only, and never exceed the page cap.
+
+One :class:`Stager` implements all three stages the model uses — local
+reads and programs at every splitter port, and remote reads at a
+distributed volume's network service port.  They share the grouping
+rule, the admission path and the failure handling; the one choice made
+where each stage is built is *pacing*, i.e. when the dispatcher may
+carve a group (see :class:`Stager`).
 
 The merged command completes as a unit — one completion message per
 command, like the tagged interface underneath — so a closed-loop
@@ -39,7 +46,7 @@ from ..io import BatchStageSpan, IORequest
 from ..sim import Event, Simulator
 from .controller import PartialReadError
 
-__all__ = ["Coalescer", "WriteCoalescer", "first_group", "plan_groups"]
+__all__ = ["Stager", "first_group", "plan_groups"]
 
 #: (tenant, card-identity, stripe index) — the only attributes the
 #: grouping rule reads.
@@ -95,67 +102,57 @@ def plan_groups(keys: Sequence[GroupKey],
     return groups
 
 
-def _carve(staging, max_pages: int):
-    """Take the next merged command's members off a staging deque.
-
-    Returns ``(group, remaining)`` — the shared carve step of both
-    coalescing stages (the grouping rule itself is :func:`first_group`).
-    """
-    positions = first_group([p.key for p in staging], max_pages)
-    taken = set(positions)
-    group = [staging[pos] for pos in positions]
-    remaining = deque(p for pos, p in enumerate(staging)
-                      if pos not in taken)
-    return group, remaining
-
-
-def _head_identity(port, request):
-    """(priority, deadline) a merged command inherits from its head.
-
-    The request's own QoS identity wins when it carries one — exactly
-    as the unmerged path takes it from each request — falling back to
-    the port's configured identity.
-    """
-    sim = port.splitter.sim
-    priority = port.priority
-    if request is not None and request.priority is not None:
-        priority = request.priority
-    deadline = None
-    if request is not None and request.deadline_ns is not None:
-        deadline = request.deadline_ns
-    elif port.deadline_ns is not None:
-        deadline = sim.now + port.deadline_ns
-    return priority, deadline
-
-
 class _Pending:
-    """One staged page read awaiting merge + dispatch."""
+    """One staged page operation awaiting merge + dispatch.
 
-    __slots__ = ("addr", "key", "request", "event", "enqueued_ns")
+    ``data`` is the page payload of a program and None for a read.
+    """
 
-    def __init__(self, addr, key: GroupKey,
-                 request: Optional[IORequest], event: Event,
-                 enqueued_ns: int):
+    __slots__ = ("addr", "data", "key", "request", "event")
+
+    def __init__(self, addr, data: Optional[bytes], key: GroupKey,
+                 request: Optional[IORequest], event: Event):
         self.addr = addr
+        self.data = data
         self.key = key
         self.request = request
         self.event = event
-        self.enqueued_ns = enqueued_ns
 
 
-class Coalescer:
-    """The per-port coalescing stage in front of splitter admission.
+class Stager:
+    """A coalescing stage in front of one splitter port's admission.
 
-    ``submit`` stages a page read and returns its completion event
-    (value: the page's :class:`~repro.flash.controller.ReadResult`);
-    a dispatcher process drains the staging queue, merging adjacent
-    runs per :func:`first_group` and launching one admission + card
-    command per group.  Everything that arrives within one simulator
-    timestep is visible to the same dispatch round, so a queue-depth-N
-    submitter's whole window can merge.
+    ``submit`` stages a page operation and returns its completion event
+    (value: the page's :class:`~repro.flash.controller.ReadResult` for
+    a read, None for a program); a dispatcher process drains the
+    staging queue, merging adjacent runs per :func:`first_group` and
+    launching one admission + card command per group — a multi-page
+    :meth:`~repro.flash.controller.FlashCard.read_pages` or
+    :meth:`~repro.flash.controller.FlashCard.program_pages`.  Staging
+    time is queueing and is charged to each request's ``queue`` stage,
+    exactly where the unstaged path would have waited on the port slot.
+
+    Pacing decides when a group is carved:
+
+    * **greedy** (``paced=False``): the moment staging is non-empty.
+      Everything that arrives within one simulator timestep is visible
+      to the same dispatch round, so a queue-depth-N submitter's whole
+      window can merge.  Local reads use it.
+    * **paced** (``paced=True``): only while this stage holds fewer
+      than the port's slot cap of its own commands.  Arrivals while
+      every slot is busy *accumulate* in staging and merge when a slot
+      frees, which keeps commands wide even though arrivals are
+      staggered — by host-side transfers for programs (a program holds
+      its slot for ``t_prog``), by request serialization for remote
+      reads at a network service port.
+
+    Program groups are *strict* ``+1`` striped-index runs taken off the
+    open write point, so a merged program can never jump across an
+    already-programmed page nor reorder programs within a block (and
+    :meth:`FlashCard.program_pages` re-checks both rules).
     """
 
-    def __init__(self, port, max_pages: int):
+    def __init__(self, port, max_pages: int, paced: bool = False):
         if max_pages < 2:
             raise ValueError(
                 f"coalescing needs max_pages >= 2, got {max_pages}")
@@ -163,25 +160,30 @@ class Coalescer:
         self.splitter = port.splitter
         self.sim: Simulator = port.splitter.sim
         self.max_pages = max_pages
+        self.paced = paced
         self._staging: Deque[_Pending] = deque()
         self._gate: Optional[Event] = None
+        self._slot_gate: Optional[Event] = None
+        self._inflight = 0
         #: commands dispatched / pages carried / pages that rode a
         #: multi-page command (the amortized ones).
         self.commands = 0
         self.pages = 0
         self.merged_pages = 0
-        self.sim.process(self._dispatch(),
-                         name=f"coalescer-{port.tenant}")
+        self.sim.process(self._dispatch(), name=f"stager-{port.tenant}")
 
     # -- intake ---------------------------------------------------------
-    def submit(self, addr, request: Optional[IORequest]) -> Event:
-        """Stage one page read; returns the event its result rides on."""
+    def submit(self, addr, request: Optional[IORequest],
+               data: Optional[bytes] = None) -> Event:
+        """Stage one page read (``data=None``) or program; returns the
+        event its result rides on."""
         geometry = self.splitter.geometry
         key: GroupKey = (self.port.sched_tenant(request),
                          (addr.node, addr.card),
                          geometry.striped_index(addr))
-        pending = _Pending(addr, key, request, Event(self.sim),
-                           self.sim.now)
+        pending = _Pending(addr, data, key, request, Event(self.sim))
+        if request:
+            request.enter("queue", self.sim.now)
         self._staging.append(pending)
         if self._gate is not None and not self._gate.triggered:
             self._gate.succeed()
@@ -189,12 +191,12 @@ class Coalescer:
 
     @property
     def depth(self) -> int:
-        """Requests currently staged (not yet dispatched)."""
+        """Operations currently staged (not yet dispatched)."""
         return len(self._staging)
 
     @property
     def pages_per_command(self) -> float:
-        """Mean merged width over the coalescer's lifetime."""
+        """Mean merged width over the stage's lifetime."""
         return self.pages / self.commands if self.commands else 0.0
 
     def stats(self) -> dict:
@@ -204,61 +206,78 @@ class Coalescer:
 
     # -- dispatch -------------------------------------------------------
     def _dispatch(self):
-        """Forever: wait for staged work, carve a group, launch it."""
+        """Forever: wait for staged work (and, when paced, slot
+        headroom), carve a group, launch it."""
         sim = self.sim
         while True:
             if not self._staging:
                 self._gate = sim.event()
                 yield self._gate
                 self._gate = None
+            while self.paced and self._inflight >= self.port.max_in_flight:
+                self._slot_gate = sim.event()
+                yield self._slot_gate
+                self._slot_gate = None
             group = self._take_group()
+            self._inflight += 1
             sim.process(self._execute(group))
 
     def _take_group(self) -> List[_Pending]:
         """Remove the next merged command's members from staging."""
-        group, self._staging = _carve(self._staging, self.max_pages)
+        positions = first_group([p.key for p in self._staging],
+                                self.max_pages)
+        taken = set(positions)
+        group = [self._staging[pos] for pos in positions]
+        self._staging = deque(p for pos, p in enumerate(self._staging)
+                              if pos not in taken)
+        now = self.sim.now
+        for pending in group:
+            if pending.request:
+                pending.request.exit("queue", now)
         return group
+
+    def _retired(self) -> None:
+        self._inflight -= 1
+        if self._slot_gate is not None and not self._slot_gate.triggered:
+            self._slot_gate.succeed()
 
     def _execute(self, group: List[_Pending]):
         """Admit and run one merged command; settle every child.
 
-        Admission (port slot + shared admission stage) charges the
-        merged payload as one queue entry — ``cost`` in bytes, ``pages``
-        wide — so WFQ/token-bucket arbitrate the real load while the
-        command occupies a single slot.  QoS identity comes from the
-        group head exactly as the unmerged path takes it from each
-        request.
+        Admission charges the merged payload as one queue entry —
+        ``cost`` in bytes, ``pages`` wide — so WFQ/token-bucket
+        arbitrate the real load while the command occupies a single
+        slot.  QoS identity comes from the group head exactly as the
+        unmerged path takes it from each request.
         """
         port = self.port
         splitter = self.splitter
         sim = self.sim
         head = group[0]
         tenant = head.key[0]
-        priority, deadline = _head_identity(port, head.request)
         size = splitter.page_size
-        cost = size * len(group)
+        if head.data is None:
+            cost = size * len(group)
+        else:
+            cost = sum(len(p.data) for p in group)
+        addrs = [p.addr for p in group]
         requests = [p.request for p in group]
-        admission = splitter.admission
-        with BatchStageSpan(sim, requests, "queue"):
-            yield port._slots.request(tenant=tenant, priority=priority,
-                                      deadline_ns=deadline, cost=cost,
-                                      pages=len(group))
-            if admission is not None:
-                try:
-                    yield admission.request(tenant=tenant,
-                                            priority=priority,
-                                            deadline_ns=deadline,
-                                            cost=cost, pages=len(group))
-                except BaseException:
-                    port._slots.release()
-                    raise
-        self.commands += 1
-        self.pages += len(group)
-        if len(group) > 1:
-            self.merged_pages += len(group)
+        admitted = False
         try:
-            results = yield sim.process(splitter.card.read_pages(
-                [p.addr for p in group], requests=requests))
+            with BatchStageSpan(sim, requests, "queue"):
+                yield from port._admit(head.request, cost, len(group))
+            admitted = True
+            self.commands += 1
+            self.pages += len(group)
+            if len(group) > 1:
+                self.merged_pages += len(group)
+            if head.data is None:
+                results = yield sim.process(splitter.card.read_pages(
+                    addrs, requests=requests))
+            else:
+                yield sim.process(splitter.card.program_pages(
+                    addrs, [p.data for p in group], requests=requests))
+                results = [None] * len(group)
         except PartialReadError as exc:
             # Per-child fidelity: successful siblings keep their pages
             # (and their served bytes), only the bad ones fail — the
@@ -273,202 +292,16 @@ class Coalescer:
                     pending.event.succeed(result)
             return
         except BaseException as exc:
-            # This process has no waiter: deliver the failure to every
-            # child instead of crashing the simulation.
+            # This process has no waiter: deliver the admission or
+            # command failure to every child instead of crashing the
+            # simulation.
             for pending in group:
                 pending.event.fail(exc)
             return
         finally:
-            if admission is not None:
-                admission.release()
-            port._slots.release()
+            if admitted:
+                port._retire()
+            self._retired()
         splitter.bandwidth.record(tenant, cost)
         for pending, result in zip(group, results):
             pending.event.succeed(result)
-
-
-class _PendingWrite:
-    """One staged page program awaiting merge + dispatch."""
-
-    __slots__ = ("addr", "data", "key", "request", "event", "enqueued_ns")
-
-    def __init__(self, addr, data: bytes, key: GroupKey,
-                 request: Optional[IORequest], event: Event,
-                 enqueued_ns: int):
-        self.addr = addr
-        self.data = data
-        self.key = key
-        self.request = request
-        self.event = event
-        self.enqueued_ns = enqueued_ns
-
-
-class WriteCoalescer:
-    """The program-path coalescing stage in front of splitter admission.
-
-    Same grouping rule as the read :class:`Coalescer` — greedy
-    :func:`first_group` runs of stripe-adjacent, same-tenant,
-    same-card pages — but merged into one multi-page
-    :meth:`~repro.flash.controller.FlashCard.program_pages` command.
-    Because groups are *strict* ``+1`` striped-index runs taken off the
-    open write point, a merged command can never jump across an
-    already-programmed page nor reorder programs within a block: the
-    run programs in striped order, which is non-decreasing page order
-    on every chip (and :meth:`FlashCard.program_pages` re-checks both
-    rules before touching the card).
-
-    Dispatch pacing differs from the read coalescer: program commands
-    occupy a port slot for ``t_prog`` (hundreds of µs), so a group is
-    carved only while this stage holds fewer than the port's slot cap
-    of its own commands.  Writes arriving while every slot is busy —
-    the normal state of a program burst — therefore *accumulate* in
-    staging and merge when a slot frees, which is what keeps program
-    commands wide even though host-side transfers stagger arrivals.
-    """
-
-    def __init__(self, port, max_pages: int):
-        if max_pages < 2:
-            raise ValueError(
-                f"coalescing needs max_pages >= 2, got {max_pages}")
-        self.port = port
-        self.splitter = port.splitter
-        self.sim: Simulator = port.splitter.sim
-        self.max_pages = max_pages
-        self._staging: Deque[_PendingWrite] = deque()
-        self._gate: Optional[Event] = None
-        self._slot_gate: Optional[Event] = None
-        self._inflight = 0
-        #: commands dispatched / pages carried / pages that rode a
-        #: multi-page command (the amortized ones).
-        self.commands = 0
-        self.pages = 0
-        self.merged_pages = 0
-        self.sim.process(self._dispatch(),
-                         name=f"write-coalescer-{port.tenant}")
-
-    # -- intake ---------------------------------------------------------
-    def submit(self, addr, data: bytes,
-               request: Optional[IORequest]) -> Event:
-        """Stage one page program; returns its completion event."""
-        geometry = self.splitter.geometry
-        key: GroupKey = (self.port.sched_tenant(request),
-                         (addr.node, addr.card),
-                         geometry.striped_index(addr))
-        pending = _PendingWrite(addr, data, key, request, Event(self.sim),
-                                self.sim.now)
-        # Staging time is queueing: the dispatcher holds programs here
-        # while the port's slots are busy, exactly where the uncoalesced
-        # path would have waited on the slot itself — charge it to the
-        # same stage so on/off traces stay comparable.
-        if request:
-            request.enter("queue", self.sim.now)
-        self._staging.append(pending)
-        if self._gate is not None and not self._gate.triggered:
-            self._gate.succeed()
-        return pending.event
-
-    @property
-    def depth(self) -> int:
-        """Programs currently staged (not yet dispatched)."""
-        return len(self._staging)
-
-    @property
-    def pages_per_command(self) -> float:
-        """Mean merged width over the coalescer's lifetime."""
-        return self.pages / self.commands if self.commands else 0.0
-
-    def stats(self) -> dict:
-        return {"commands": self.commands, "pages": self.pages,
-                "merged_pages": self.merged_pages,
-                "pages_per_command": self.pages_per_command}
-
-    # -- dispatch -------------------------------------------------------
-    def _dispatch(self):
-        """Forever: wait for staged work and a slot's worth of headroom,
-        carve a group, launch it."""
-        sim = self.sim
-        while True:
-            if not self._staging:
-                self._gate = sim.event()
-                yield self._gate
-                self._gate = None
-            while self._inflight >= self.port.max_in_flight:
-                self._slot_gate = sim.event()
-                yield self._slot_gate
-                self._slot_gate = None
-            group = self._take_group()
-            self._inflight += 1
-            sim.process(self._execute(group))
-
-    def _take_group(self) -> List[_PendingWrite]:
-        """Remove the next merged command's members from staging."""
-        group, self._staging = _carve(self._staging, self.max_pages)
-        now = self.sim.now
-        for pending in group:
-            if pending.request:
-                pending.request.exit("queue", now)
-        return group
-
-    def _retired(self) -> None:
-        self._inflight -= 1
-        if self._slot_gate is not None and not self._slot_gate.triggered:
-            self._slot_gate.succeed()
-
-    def _execute(self, group: List[_PendingWrite]):
-        """Admit and run one merged program command; settle every child.
-
-        Admission mirrors the read coalescer exactly: the merged
-        payload is one queue entry — ``cost`` in bytes, ``pages`` wide
-        — with the QoS identity of the group head.
-        """
-        port = self.port
-        splitter = self.splitter
-        sim = self.sim
-        head = group[0]
-        tenant = head.key[0]
-        priority, deadline = _head_identity(port, head.request)
-        cost = sum(len(p.data) for p in group)
-        requests = [p.request for p in group]
-        admission = splitter.admission
-        try:
-            with BatchStageSpan(sim, requests, "queue"):
-                yield port._slots.request(tenant=tenant, priority=priority,
-                                          deadline_ns=deadline, cost=cost,
-                                          pages=len(group))
-                if admission is not None:
-                    try:
-                        yield admission.request(tenant=tenant,
-                                                priority=priority,
-                                                deadline_ns=deadline,
-                                                cost=cost,
-                                                pages=len(group))
-                    except BaseException:
-                        port._slots.release()
-                        raise
-        except BaseException as exc:
-            self._retired()
-            for pending in group:
-                pending.event.fail(exc)
-            return
-        self.commands += 1
-        self.pages += len(group)
-        if len(group) > 1:
-            self.merged_pages += len(group)
-        try:
-            yield sim.process(splitter.card.program_pages(
-                [p.addr for p in group], [p.data for p in group],
-                requests=requests))
-        except BaseException as exc:
-            # This process has no waiter: deliver the failure to every
-            # child instead of crashing the simulation.
-            for pending in group:
-                pending.event.fail(exc)
-            return
-        finally:
-            if admission is not None:
-                admission.release()
-            port._slots.release()
-            self._retired()
-        splitter.bandwidth.record(tenant, cost)
-        for pending in group:
-            pending.event.succeed(None)

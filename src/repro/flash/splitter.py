@@ -42,7 +42,7 @@ from typing import List, Optional
 
 from ..io import IOKind, IORequest, RequestTracer, ScheduledResource, StageSpan
 from ..sim import BandwidthLedger, Counter, Simulator
-from .coalesce import Coalescer, WriteCoalescer
+from .coalesce import Stager
 from .controller import FlashCard, ReadResult
 from .geometry import DEFAULT_GEOMETRY, PhysAddr
 
@@ -69,10 +69,12 @@ class SplitterPort:
                                         capacity=max_in_flight,
                                         policy="fifo",
                                         name=f"splitter-{self.tenant}")
-        self.coalescer = (Coalescer(self, splitter.coalesce_max_pages)
+        # Local reads stage greedily; programs pace on the slot cap
+        # (see Stager for why each mode fits its path).
+        self.coalescer = (Stager(self, splitter.coalesce_max_pages)
                           if splitter.coalesce else None)
         self.write_coalescer = (
-            WriteCoalescer(self, splitter.coalesce_max_pages)
+            Stager(self, splitter.coalesce_max_pages, paced=True)
             if splitter.coalesce else None)
         self._next_user_tag = 0
         self.reads = Counter(f"user{user_id}-reads")
@@ -134,16 +136,20 @@ class SplitterPort:
             return request.tenant
         return self.tenant
 
-    def _admit(self, request: Optional[IORequest], cost: int):
+    def _admit(self, request: Optional[IORequest], cost: int,
+               pages: int = 1):
         """Acquire the port slot, then the shared admission slot (if any).
 
-        Both waits are charged to the request's ``queue`` stage.  The
-        tenant/priority/deadline forwarded to the scheduling policies
-        come from the request when it specifies them (end-to-end QoS),
-        falling back to the port's configured identity — so a request
-        created merely for tracing never demotes a port's QoS.
+        A DES generator; callers charge the wait to the ``queue`` stage.
+        The tenant/priority/deadline forwarded to the scheduling
+        policies come from ``request`` when it specifies them (end-to-end
+        QoS), falling back to the port's configured identity — so a
+        request created merely for tracing never demotes a port's QoS.
+        A :class:`~repro.flash.coalesce.Stager` passes its group head.
         ``cost`` is the operation's payload bytes: what weighted fair
-        share and token buckets charge instead of a flat slot count.
+        share and token buckets charge instead of a flat slot count;
+        ``pages`` is how many coalesced pages ride on the one grant.
+        If admission fails the port slot is rolled back.
         """
         sim = self.splitter.sim
         tenant = self.sched_tenant(request)
@@ -155,19 +161,18 @@ class SplitterPort:
             deadline = request.deadline_ns
         elif self.deadline_ns is not None:
             deadline = sim.now + self.deadline_ns
-        with StageSpan(sim, request, "queue"):
-            yield self._slots.request(tenant=tenant, priority=priority,
-                                      deadline_ns=deadline, cost=cost)
-            admission = self.splitter.admission
-            if admission is not None:
-                try:
-                    yield admission.request(tenant=tenant,
-                                            priority=priority,
-                                            deadline_ns=deadline,
-                                            cost=cost)
-                except BaseException:
-                    self._slots.release()
-                    raise
+        yield self._slots.request(tenant=tenant, priority=priority,
+                                  deadline_ns=deadline, cost=cost,
+                                  pages=pages)
+        admission = self.splitter.admission
+        if admission is not None:
+            try:
+                yield admission.request(tenant=tenant, priority=priority,
+                                        deadline_ns=deadline, cost=cost,
+                                        pages=pages)
+            except BaseException:
+                self._slots.release()
+                raise
 
     def _retire(self) -> None:
         admission = self.splitter.admission
@@ -180,7 +185,7 @@ class SplitterPort:
         is this user's renamed tag, not the card's physical tag.
 
         With coalescing enabled the read is staged at the port's
-        :class:`~repro.flash.coalesce.Coalescer` instead of admitted
+        greedy :class:`~repro.flash.coalesce.Stager` instead of admitted
         directly: stripe-adjacent reads from the same tenant merge into
         one multi-page command (one slot, one admission grant at the
         merged byte cost, one card command), and this generator resumes
@@ -196,7 +201,8 @@ class SplitterPort:
                 self.splitter.tracer.complete(request)
             return ReadResult(result.addr, result.data, user_tag,
                               result.corrected_bits)
-        yield from self._admit(request, cost=size)
+        with StageSpan(self.splitter.sim, request, "queue"):
+            yield from self._admit(request, cost=size)
         try:
             result = yield self.splitter.sim.process(
                 self.splitter.card.read_page(addr, request=request))
@@ -214,7 +220,7 @@ class SplitterPort:
         """Program via the shared card.
 
         With coalescing enabled the program is staged at the port's
-        :class:`~repro.flash.coalesce.WriteCoalescer`: stripe-adjacent
+        slot-paced :class:`~repro.flash.coalesce.Stager`: stripe-adjacent
         programs from the same tenant targeting the open write point
         merge into one multi-page command (one slot, one admission
         grant at the merged byte cost, one card command setup),
@@ -223,12 +229,13 @@ class SplitterPort:
         request, owned = self._start(IOKind.WRITE, addr, len(data), request)
         self._rename()
         if self.write_coalescer is not None:
-            yield self.write_coalescer.submit(addr, data, request)
+            yield self.write_coalescer.submit(addr, request, data)
             self.writes.add()
             if owned:
                 self.splitter.tracer.complete(request)
             return
-        yield from self._admit(request, cost=len(data))
+        with StageSpan(self.splitter.sim, request, "queue"):
+            yield from self._admit(request, cost=len(data))
         try:
             yield self.splitter.sim.process(
                 self.splitter.card.write_page(addr, data, request=request))
@@ -247,7 +254,8 @@ class SplitterPort:
         # while the bandwidth ledger records its true zero bytes.
         request, owned = self._start(IOKind.ERASE, addr, 0, request)
         self._rename()
-        yield from self._admit(request, cost=self.splitter.page_size)
+        with StageSpan(self.splitter.sim, request, "queue"):
+            yield from self._admit(request, cost=self.splitter.page_size)
         try:
             yield self.splitter.sim.process(
                 self.splitter.card.erase_block(addr, request=request))

@@ -11,11 +11,13 @@ directly:
 * within a group, stripe indices are strictly consecutive from the
   head — the multi-page command is one run.
 
-The DES half then checks the live :class:`~repro.flash.Coalescer`
-against the same contract: merged commands deliver exactly the
-requested pages with the right payloads, per-tenant runs never merge
-across tenants at a shared port, and the admission ledger sees the
-merged byte costs.
+The DES half then checks the live :class:`~repro.flash.Stager`, greedy
+and slot-paced alike, against the same contract: merged commands
+deliver exactly the requested pages with the right payloads, per-tenant
+runs never merge across tenants at a shared port, and the admission
+ledger sees the merged byte costs.  Two cases pin pacing itself: it is
+what lets staggered arrivals merge, and a failed paced command still
+frees its slot for the next group.
 """
 
 import pytest
@@ -26,6 +28,7 @@ from repro.flash import (
     FlashGeometry,
     FlashSplitter,
     FlashCard,
+    Stager,
     first_group,
     plan_groups,
 )
@@ -107,16 +110,40 @@ def _program(card, indices):
         card.store.program(addr, f"page-{index}".encode())
 
 
-def test_merged_command_covers_exactly_the_requested_pages():
+def _submit(stage, index):
+    """A reader process body: submit one page read and wait for it."""
+    yield stage.submit(GEO.striped(index), None)
+
+
+@pytest.fixture(params=["greedy", "paced"])
+def stage_for(request):
+    """Build the read stage under test for a port.
+
+    ``greedy`` is the port's own local read stage; ``paced`` is a
+    slot-paced :class:`~repro.flash.Stager` on the same port — the
+    shape a distributed volume's remote read stage takes.  With every
+    arrival in one timestep and slots to spare the two must agree.
+    """
+    paced = request.param == "paced"
+
+    def build(port):
+        if not paced:
+            return port.coalescer
+        return Stager(port, port.splitter.coalesce_max_pages, paced=True)
+
+    return build
+
+
+def test_merged_command_covers_exactly_the_requested_pages(stage_for):
     sim = Simulator()
     card, splitter = _make_splitter(sim)
-    port = splitter.add_port(tenant="isp")
+    stage = stage_for(splitter.add_port(tenant="isp"))
     indices = list(range(8))
     _program(card, indices)
     results = {}
 
     def reader(index):
-        result = yield sim.process(port.read_page(GEO.striped(index)))
+        result = yield stage.submit(GEO.striped(index), None)
         results[index] = result.data
 
     for index in indices:
@@ -127,57 +154,56 @@ def test_merged_command_covers_exactly_the_requested_pages():
         assert results[index].startswith(f"page-{index}".encode()), (
             f"page {index} delivered the wrong payload")
     # One card, one adjacent run of 8 = one full-width command.
-    stats = port.coalescer.stats()
+    stats = stage.stats()
     assert stats["pages"] == 8
     assert stats["commands"] == 1
     assert stats["pages_per_command"] == 8.0
 
 
-def test_coalescing_never_crosses_tenants_on_a_shared_port():
+def test_coalescing_never_crosses_tenants_on_a_shared_port(stage_for):
     sim = Simulator()
     card, splitter = _make_splitter(sim)
-    port = splitter.add_port(tenant="net")
+    stage = stage_for(splitter.add_port(tenant="net"))
     indices = list(range(4))
     _program(card, indices)
 
     def reader(index, tenant):
         request = IORequest("read", GEO.striped(index), GEO.page_size,
                             tenant=tenant, issued_ns=sim.now)
-        yield sim.process(port.read_page(GEO.striped(index),
-                                         request=request))
+        yield stage.submit(GEO.striped(index), request)
 
     # Interleaved tenants over one adjacent run: t0 gets 0,2 / t1 1,3 —
     # neither tenant's pages are consecutive, so nothing may merge.
     for index in indices:
         sim.process(reader(index, f"t{index % 2}"))
     sim.run()
-    stats = port.coalescer.stats()
+    stats = stage.stats()
     assert stats["pages"] == 4
     assert stats["commands"] == 4, "cross-tenant pages must not merge"
 
 
-def test_coalescing_respects_the_page_cap():
+def test_coalescing_respects_the_page_cap(stage_for):
     sim = Simulator()
     card, splitter = _make_splitter(sim, coalesce_max_pages=2)
-    port = splitter.add_port(tenant="isp")
+    stage = stage_for(splitter.add_port(tenant="isp"))
     indices = list(range(4))
     _program(card, indices)
     for index in indices:
-        sim.process(port.read_page(GEO.striped(index)), name=f"r{index}")
+        sim.process(_submit(stage, index), name=f"r{index}")
     sim.run()
-    stats = port.coalescer.stats()
+    stats = stage.stats()
     assert stats["commands"] == 2
     assert stats["pages"] == 2 * 2
 
 
-def test_admission_ledger_sees_merged_byte_costs():
+def test_admission_ledger_sees_merged_byte_costs(stage_for):
     sim = Simulator()
     card, splitter = _make_splitter(sim, policy="fifo")
-    port = splitter.add_port(tenant="isp")
+    stage = stage_for(splitter.add_port(tenant="isp"))
     indices = list(range(4))
     _program(card, indices)
     for index in indices:
-        sim.process(port.read_page(GEO.striped(index)), name=f"r{index}")
+        sim.process(_submit(stage, index), name=f"r{index}")
     sim.run()
     # One 4-page command: one admission grant carrying 4 pages of cost.
     assert splitter.admission.grants["isp"] == 1
@@ -186,17 +212,17 @@ def test_admission_ledger_sees_merged_byte_costs():
     assert splitter.bandwidth.totals["isp"] == 4 * GEO.page_size
 
 
-def test_singleton_path_matches_uncoalesced_latency():
+def test_singleton_path_matches_uncoalesced_latency(stage_for):
     # A lone request (nothing adjacent staged) must still complete and
     # pay the same card path as the uncoalesced splitter.
     sim_a = Simulator()
     card_a, splitter_a = _make_splitter(sim_a)
-    port_a = splitter_a.add_port(tenant="isp")
+    stage_a = stage_for(splitter_a.add_port(tenant="isp"))
     _program(card_a, [3])
     done_a = []
 
     def read_a(sim=sim_a):
-        yield sim.process(port_a.read_page(GEO.striped(3)))
+        yield stage_a.submit(GEO.striped(3), None)
         done_a.append(sim.now)
 
     sim_a.process(read_a())
@@ -236,10 +262,10 @@ def test_writes_and_erases_bypass_the_coalescer():
     assert port.writes.value == 1
 
 
-def test_partial_failure_fails_only_the_bad_page():
+def test_partial_failure_fails_only_the_bad_page(stage_for):
     sim = Simulator()
     card, splitter = _make_splitter(sim)
-    port = splitter.add_port(tenant="isp")
+    stage = stage_for(splitter.add_port(tenant="isp"))
     indices = list(range(4))
     _program(card, indices)
     card.badblocks.mark_bad(GEO.striped(2))
@@ -247,7 +273,7 @@ def test_partial_failure_fails_only_the_bad_page():
 
     def reader(index):
         try:
-            result = yield sim.process(port.read_page(GEO.striped(index)))
+            result = yield stage.submit(GEO.striped(index), None)
             outcomes[index] = result.data
         except Exception as exc:
             outcomes[index] = exc
@@ -270,3 +296,66 @@ def test_coalescer_requires_room_to_merge():
     card = FlashCard(sim, geometry=GEO)
     with pytest.raises(ValueError):
         FlashSplitter(sim, card, coalesce=True, coalesce_max_pages=1)
+
+
+def _staggered_reads(paced):
+    """Four adjacent reads arriving 1 ns apart at a one-slot port."""
+    sim = Simulator()
+    card, splitter = _make_splitter(sim)
+    port = splitter.add_port(tenant="isp", max_in_flight=1)
+    stage = Stager(port, splitter.coalesce_max_pages, paced=paced)
+    indices = list(range(4))
+    _program(card, indices)
+
+    def reader(index):
+        yield sim.timeout(index)
+        result = yield stage.submit(GEO.striped(index), None)
+        assert result.data.startswith(f"page-{index}".encode())
+
+    for index in indices:
+        sim.process(reader(index))
+    sim.run()
+    return stage.stats()
+
+
+def test_pacing_merges_staggered_arrivals_greedy_dispatch_cannot():
+    # Greedy: every arrival finds staging otherwise empty and leaves as
+    # a singleton, then queues on the port slot.  Paced: the first read
+    # takes the only slot; the rest accumulate and merge when it frees.
+    greedy = _staggered_reads(paced=False)
+    paced = _staggered_reads(paced=True)
+    assert greedy["commands"] == 4 and greedy["merged_pages"] == 0
+    assert paced["commands"] == 2
+    assert paced["merged_pages"] == 3
+
+
+def test_paced_failure_reaches_every_child_and_frees_the_slot():
+    sim = Simulator()
+    card, splitter = _make_splitter(sim, coalesce_max_pages=4)
+    port = splitter.add_port(tenant="isp", max_in_flight=1)
+    stage = port.write_coalescer
+    assert stage.paced
+    # Page runs 0-3 and 4-7 sit on distinct chips; a bad block under
+    # page 2 rejects the whole first program command up front.
+    card.badblocks.mark_bad(GEO.striped(2))
+    outcomes = {}
+
+    def writer(index):
+        try:
+            yield stage.submit(GEO.striped(index), None, b"w" * GEO.page_size)
+            outcomes[index] = "ok"
+        except Exception as exc:
+            outcomes[index] = exc
+
+    for index in range(8):
+        sim.process(writer(index))
+    sim.run()
+    from repro.flash import BadBlockProgramError
+    for index in range(4):
+        assert isinstance(outcomes[index], BadBlockProgramError), (
+            f"child {index} of the failed command must see its error")
+    assert [outcomes[index] for index in range(4, 8)] == ["ok"] * 4, (
+        "the next group must dispatch once the failed one frees the slot")
+    assert stage.stats()["commands"] == 2
+    assert stage.depth == 0 and stage._inflight == 0
+    assert port.in_flight == 0

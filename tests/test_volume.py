@@ -4,8 +4,8 @@ Covers the subsystem's contracts layer by layer:
 
 * :meth:`FlashCard.program_pages` — one tag + one command setup per
   merged group, NAND order rules enforced up front;
-* :class:`~repro.flash.coalesce.WriteCoalescer` — strict ``+1``
-  striped-run merging with per-child settlement;
+* the slot-paced program :class:`~repro.flash.coalesce.Stager` —
+  strict ``+1`` striped-run merging with per-child settlement;
 * :class:`~repro.volume.LogicalVolume` — out-of-place remap, validity,
   prefill, per-tenant write amplification, GC through the dedicated
   port;
