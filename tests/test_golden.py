@@ -1,8 +1,10 @@
 """Golden digests: refactors must not move simulated output.
 
 ``golden_digests.json`` pins the sha256 of ``run_experiment(x).to_json()``
-for the experiments that exercise the coalescing stages (local reads,
-programs, remote reads) and the queue-depth pipeline.  A change that is
+for every registered experiment that runs in about a second at its full
+grid: the coalescing stages (local reads, programs, remote reads), the
+queue-depth pipeline, the network figures, the QoS, fault and lifetime
+scenarios, the ablations and the paper tables.  A change that is
 meant to be behaviour-preserving must leave every digest as committed;
 a change that moves one on purpose must say why in its changelog entry.
 
