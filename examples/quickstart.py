@@ -53,7 +53,7 @@ def main():
         # 4. Compare: the same pages read by host software over PCIe.
         t0 = sim.now
         for addr in extents:
-            yield sim.process(node.host_read(addr))
+            yield from node.host_read(addr)
         host_ns = sim.now - t0
         print(f"host reads    : same pages in "
               f"{units.to_us(host_ns):.1f} us "

@@ -31,10 +31,10 @@ def describe(name, topo):
     far = max(dist, key=dist.get)
 
     def sender(sim):
-        yield sim.process(net.endpoint(0, 0).send(far, "probe", 16))
+        yield from net.endpoint(0, 0).send(far, "probe", 16)
 
     def receiver(sim):
-        yield sim.process(net.endpoint(far, 0).receive())
+        yield from net.endpoint(far, 0).receive()
         return sim.now
 
     sim.process(sender(sim))

@@ -734,11 +734,11 @@ class Session:
             def issue(kind, index):
                 addr = geometry.striped(index, node=tenant.node)
                 if kind == "write":
-                    yield sim.process(node.host.write_page(
-                        addr, page_fill, software_path=software_path))
+                    yield from node.host.write_page(
+                        addr, page_fill, software_path=software_path)
                 else:
-                    yield sim.process(
-                        node.host_read(addr, software_path=software_path))
+                    yield from node.host_read(
+                        addr, software_path=software_path)
         elif tenant.access == "volume":
             iface = self._volume_ifaces[tenant.name]
             volume = self.volumes[tenant.node]
@@ -746,12 +746,12 @@ class Session:
 
             def issue(kind, index):
                 if kind == "write":
-                    yield sim.process(iface.write_lpn(
+                    yield from iface.write_lpn(
                         volume, index, page_fill,
-                        software_path=software_path))
+                        software_path=software_path)
                 else:
-                    yield sim.process(iface.read_lpn(
-                        volume, index, software_path=software_path))
+                    yield from iface.read_lpn(
+                        volume, index, software_path=software_path)
         elif tenant.access == "dvol":
             iface = self._dvol_ifaces[tenant.name]
             dvol = self.dvol
@@ -760,20 +760,20 @@ class Session:
 
             def issue(kind, index):
                 if kind == "write":
-                    yield sim.process(dvol.write_lpn(
+                    yield from dvol.write_lpn(
                         src, iface, index, page_fill,
-                        software_path=software_path))
+                        software_path=software_path)
                 else:
-                    yield sim.process(dvol.read_lpn(
+                    yield from dvol.read_lpn(
                         src, iface, index,
-                        software_path=software_path))
+                        software_path=software_path)
         else:
             read = node.isp_read if tenant.access == "isp" \
                 else node.net_read
 
             def issue(kind, index):
                 addr = geometry.striped(index, node=tenant.node)
-                yield sim.process(read(addr))
+                yield from read(addr)
         return issue
 
     def _workload_result(self, counters: dict,

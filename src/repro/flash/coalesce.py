@@ -272,11 +272,11 @@ class Stager:
             if len(group) > 1:
                 self.merged_pages += len(group)
             if head.data is None:
-                results = yield sim.process(splitter.card.read_pages(
-                    addrs, requests=requests))
+                results = yield from splitter.card.read_pages(
+                    addrs, requests=requests)
             else:
-                yield sim.process(splitter.card.program_pages(
-                    addrs, [p.data for p in group], requests=requests))
+                yield from splitter.card.program_pages(
+                    addrs, [p.data for p in group], requests=requests)
                 results = [None] * len(group)
         except PartialReadError as exc:
             # Per-child fidelity: successful siblings keep their pages

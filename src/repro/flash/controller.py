@@ -88,9 +88,10 @@ class ReadResult:
 class FlashCard:
     """One custom flash board: 8 buses x 8 chips behind a tagged interface.
 
-    All public operations are DES generators; run them with
-    ``yield sim.process(card.read_page(addr))`` or drive many concurrently
-    to exploit the card's parallelism.
+    All public operations are DES generators.  A caller that waits for
+    one delegates inline (``yield from card.read_page(addr)``); to
+    exploit the card's parallelism, start many with ``sim.process`` and
+    let them run concurrently.
     """
 
     def __init__(self, sim: Simulator,
@@ -204,7 +205,7 @@ class FlashCard:
         drift apart.
         """
         with StageSpan(self.sim, request, "storage"):
-            data, parity, flips = yield self.sim.process(chip.read(addr))
+            data, parity, flips = yield from chip.read(addr)
         with StageSpan(self.sim, request, "device"):
             bus = self.buses[addr.bus]
             yield bus.request()
@@ -438,7 +439,7 @@ class FlashCard:
                 bus.release()
         with StageSpan(self.sim, request, "storage"):
             try:
-                yield self.sim.process(chip.program(addr, data))
+                yield from chip.program(addr, data)
             except ProgramFailedError:
                 # An injected NAND fault, not a caller bug: count it and
                 # let the write path recover (rewrite to a fresh page).
@@ -479,7 +480,7 @@ class FlashCard:
             with StageSpan(self.sim, request, "storage"):
                 yield self.sim.timeout(self.timing.cmd_overhead_ns)
                 try:
-                    yield self.sim.process(chip.erase(addr))
+                    yield from chip.erase(addr)
                 except EraseError:
                     self.badblocks.mark_bad(addr)
                     raise

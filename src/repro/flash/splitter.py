@@ -204,8 +204,8 @@ class SplitterPort:
         with StageSpan(self.splitter.sim, request, "queue"):
             yield from self._admit(request, cost=size)
         try:
-            result = yield self.splitter.sim.process(
-                self.splitter.card.read_page(addr, request=request))
+            result = yield from self.splitter.card.read_page(
+                addr, request=request)
         finally:
             self._retire()
         self.reads.add()
@@ -237,8 +237,8 @@ class SplitterPort:
         with StageSpan(self.splitter.sim, request, "queue"):
             yield from self._admit(request, cost=len(data))
         try:
-            yield self.splitter.sim.process(
-                self.splitter.card.write_page(addr, data, request=request))
+            yield from self.splitter.card.write_page(
+                addr, data, request=request)
         finally:
             self._retire()
         self.writes.add()
@@ -257,8 +257,7 @@ class SplitterPort:
         with StageSpan(self.splitter.sim, request, "queue"):
             yield from self._admit(request, cost=self.splitter.page_size)
         try:
-            yield self.splitter.sim.process(
-                self.splitter.card.erase_block(addr, request=request))
+            yield from self.splitter.card.erase_block(addr, request=request)
         finally:
             self._retire()
         self.splitter.bandwidth.record(self.sched_tenant(request), 0)

@@ -104,7 +104,7 @@ class LogStructuredCore:
             return b"\xff" * self.geometry.page_size
         self.core.begin_read(addr)
         try:
-            result = yield self.sim.process(self.device.read_page(addr))
+            result = yield from self.device.read_page(addr)
         finally:
             self.core.end_read(addr)
         return result.data
@@ -124,7 +124,7 @@ class LogStructuredCore:
         addr = yield from self.core.allocate()
         yield from self.core.await_program_turn(addr)
         try:
-            yield self.sim.process(self.device.write_page(addr, data))
+            yield from self.device.write_page(addr, data)
         except BaseException:
             self.core.retire_page(addr)
             raise
@@ -143,11 +143,10 @@ class LogStructuredCore:
 
     # -- GC relocation backend (FtlCore ``io``) --------------------------------
     def gc_read(self, addr: PhysAddr):
-        result = yield self.sim.process(self.device.read_page(addr))
-        return result
+        return (yield from self.device.read_page(addr))
 
     def gc_write(self, addr: PhysAddr, data: bytes):
-        yield self.sim.process(self.device.write_page(addr, data))
+        yield from self.device.write_page(addr, data)
 
     def gc_erase(self, addr: PhysAddr):
-        yield self.sim.process(self.device.erase_block(addr))
+        yield from self.device.erase_block(addr)

@@ -61,7 +61,7 @@ class StageSpan:
     Usage inside a DES generator::
 
         with StageSpan(sim, request, "software"):
-            yield sim.process(cpu.compute(cost))
+            yield from cpu.compute(cost)
 
     ``request=None`` makes the span a no-op, so call sites don't need
     to branch on whether tracing is attached — and no span object is
@@ -142,9 +142,10 @@ class Pipeline:
     """Run a request through a fixed sequence of stages, timing each.
 
     Each stage's processing time lands on the request's ledger under the
-    stage's own name.  ``run`` is a DES generator::
+    stage's own name.  ``run`` is a DES generator; a caller that waits
+    for the result delegates to it inline::
 
-        result = yield sim.process(pipeline.run(request))
+        result = yield from pipeline.run(request)
     """
 
     def __init__(self, sim: Simulator, stages: Iterable[Stage]):
@@ -155,5 +156,5 @@ class Pipeline:
         result = None
         for stage in self.stages:
             with StageSpan(self.sim, request, stage.name):
-                result = yield self.sim.process(stage.process(request))
+                result = yield from stage.process(request)
         return result
