@@ -718,7 +718,6 @@ class Session:
         spec validation enforces it), ``index`` a striped physical
         index or, for volume tenants, a logical page number.
         """
-        sim = self.sim
         geometry = self.spec.geometry
         node = self.nodes[tenant.node]
         software_path = tenant.software_path

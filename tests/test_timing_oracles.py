@@ -18,7 +18,7 @@ import access_paths
 from repro.flash import FlashTiming
 from repro.host import HostConfig
 from repro.network import NetworkConfig
-from repro.sim import units
+from repro.sim.units import transfer_ns
 
 PAGE = access_paths.PAGE
 FLASH = FlashTiming()
@@ -26,15 +26,11 @@ HOST = HostConfig()
 NET = NetworkConfig()
 
 
-def _xfer(num_bytes, bytes_per_ns):
-    return units.transfer_ns(num_bytes, bytes_per_ns)
-
-
 def _wire(payload_bytes):
     """Serialization of one packet: whole flits plus per-flit overhead."""
     flits = max(1, math.ceil(payload_bytes / NET.flit_bytes))
     wire_bytes = round(flits * (NET.flit_bytes + NET.flit_overhead_bytes))
-    return _xfer(wire_bytes, NET.link_gbps / 8)
+    return transfer_ns(wire_bytes, NET.link_gbps / 8)
 
 
 def _message(payload_bytes):
@@ -47,16 +43,16 @@ def _message(payload_bytes):
 
 #: Tag, command setup, array read, bus and aurora transfer of one page.
 FLASH_READ = (FLASH.cmd_overhead_ns + FLASH.t_read_ns
-              + _xfer(PAGE, FLASH.bus_bytes_per_ns)
+              + transfer_ns(PAGE, FLASH.bus_bytes_per_ns)
               + FLASH.aurora_latency_ns
-              + _xfer(PAGE, FLASH.aurora_bytes_per_ns))
+              + transfer_ns(PAGE, FLASH.aurora_bytes_per_ns))
 #: Command setup, data down the aurora and bus, array program.
 FLASH_PROGRAM = (FLASH.cmd_overhead_ns + FLASH.aurora_latency_ns
-                 + _xfer(PAGE, FLASH.aurora_bytes_per_ns)
-                 + _xfer(PAGE, FLASH.bus_bytes_per_ns) + FLASH.t_prog_ns)
+                 + transfer_ns(PAGE, FLASH.aurora_bytes_per_ns)
+                 + transfer_ns(PAGE, FLASH.bus_bytes_per_ns) + FLASH.t_prog_ns)
 SOFTWARE = HOST.syscall_ns + HOST.driver_ns + HOST.rpc_ns
-TO_HOST = _xfer(PAGE, HOST.pcie_dev_to_host_gbs) + HOST.pcie_latency_ns
-TO_DEVICE = _xfer(PAGE, HOST.pcie_host_to_dev_gbs) + HOST.pcie_latency_ns
+TO_HOST = transfer_ns(PAGE, HOST.pcie_dev_to_host_gbs) + HOST.pcie_latency_ns
+TO_DEVICE = transfer_ns(PAGE, HOST.pcie_host_to_dev_gbs) + HOST.pcie_latency_ns
 HOST_READ = SOFTWARE + FLASH_READ + TO_HOST + HOST.interrupt_ns
 HOST_WRITE = SOFTWARE + TO_DEVICE + FLASH_PROGRAM
 
