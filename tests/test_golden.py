@@ -4,7 +4,10 @@
 for every registered experiment that runs in about a second at its full
 grid: the coalescing stages (local reads, programs, remote reads), the
 queue-depth pipeline, the network figures, the QoS, fault and lifetime
-scenarios, the ablations and the paper tables.  A change that is
+scenarios, the ablations and the paper tables.  It also pins the two
+deep-queue sweeps that take a few seconds each, ``gc_steady`` (volume
+tenants through the host submit path) and ``dvol_qd_sweep`` (closed-loop
+dvol tenants at queue depths up to 64).  A change that is
 meant to be behaviour-preserving must leave every digest as committed;
 a change that moves one on purpose must say why in its changelog entry.
 
