@@ -5,12 +5,18 @@ discrete-event :class:`~repro.sim.Simulator`, an attached
 :class:`~repro.io.RequestTracer`, and the machine built from the
 :class:`~repro.api.spec.ScenarioSpec` (a bare
 :class:`~repro.core.BlueDBMNode` for single-node scenarios, a
-:class:`~repro.core.BlueDBMCluster` otherwise).  It also owns the
-closed-loop workload driver that used to be copy-pasted across the
-Figure 13 benchmark, the nearest-neighbour builders and the QoS
-scenario: :meth:`run` executes the spec's
-:class:`~repro.api.spec.WorkloadSpec` and returns a structured
-:class:`~repro.api.result.RunResult`.
+:class:`~repro.core.BlueDBMCluster` otherwise).  :meth:`run` executes
+the spec's :class:`~repro.api.spec.WorkloadSpec` and returns a
+structured :class:`~repro.api.result.RunResult`.
+
+Everywhere in this module, ``N`` operations in flight means ``N`` lane
+processes that pull from one shared stream and run each operation
+inline (``yield from``): a closed-loop tenant at queue depth ``N`` is
+``N`` copies of :meth:`Session._worker`, and :func:`drive_pipelined`
+keeps ``outstanding`` lanes over its operation indices.  Host and
+volume tenants at depth > 1 instead refill batches through
+:meth:`~repro.host.HostInterface.submit`, whose chunked refills and
+coalesced interrupts are modelled driver policy.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from ..faults import fault_seed_override
 from ..flash import PhysAddr, Stager
 from ..host import HostInterface
 from ..io import RequestTracer
-from ..sim import Simulator
+from ..sim import SimulationError, Simulator
 from ..volume import LogicalVolume
 from .result import RunResult
 from .spec import ScenarioSpec, SpecError, TenantSpec
@@ -344,19 +350,29 @@ class Session:
                 rng = (shared_rng if tenant.rng == "shared"
                        else random.Random(tenant.seed_base + wid))
                 if tenant.background:
-                    worker = self._gc_worker(tenant, rng,
-                                             workload.duration_ns, counters)
+                    workers = [self._gc_worker(tenant, rng,
+                                               workload.duration_ns,
+                                               counters)]
                 elif open_loop:
-                    worker = self._open_loop_dispatcher(
-                        tenant, rng, wid, issue, workload, counters, issued)
-                elif depth > 1:
-                    worker = self._async_worker(tenant, rng, wid, issue,
-                                                workload.duration_ns,
-                                                counters, depth)
+                    workers = [self._open_loop_dispatcher(
+                        tenant, rng, wid, issue, workload, counters,
+                        issued)]
                 else:
-                    worker = self._worker(tenant, rng, wid, issue,
-                                          workload.duration_ns, counters)
-                self.sim.process(worker, name=f"{tenant.name}-worker")
+                    ops = self._op_stream(tenant, rng, wid,
+                                          *self._window(tenant))
+                    if depth > 1 and tenant.access in ("host", "volume"):
+                        workers = [self._refill_driver(
+                            tenant, ops, workload.duration_ns, counters,
+                            depth)]
+                    else:
+                        # Queue depth N is N closed-loop lanes sharing
+                        # one operation stream.
+                        workers = [self._worker(tenant, ops, issue,
+                                                workload.duration_ns,
+                                                counters)
+                                   for _ in range(depth)]
+                for worker in workers:
+                    self.sim.process(worker, name=f"{tenant.name}-worker")
         if workload.drain:
             self.sim.run()
         else:
@@ -451,106 +467,94 @@ class Session:
                 written.add(index)
             yield ("write" if write else "read", start + index)
 
-    def _worker(self, tenant: TenantSpec, rng: random.Random, wid: int,
-                issue: Callable, deadline: int, counters: dict):
-        """One synchronous closed-loop worker (queue depth 1): issue a
-        page operation, wait for it, repeat until the window closes."""
+    def _worker(self, tenant: TenantSpec, ops, issue: Callable,
+                deadline: int, counters: dict):
+        """One closed-loop lane: issue the next operation of ``ops``,
+        wait for it, repeat until the window closes.
+
+        An operation that completes in zero simulated time (e.g. a
+        map-answered volume read of an unfilled window) is followed by
+        a 1 ns pause, so the measurement window cannot livelock at one
+        timestep.
+        """
         sim = self.sim
-        start, size = self._window(tenant)
-        ops = self._op_stream(tenant, rng, wid, start, size)
         while sim.now < deadline:
+            began = sim.now
             kind, index = next(ops)
             yield from issue(kind, index)
             counters[tenant.name] += 1
+            if sim.now == began:
+                yield sim.timeout(1)
 
-    def _async_worker(self, tenant: TenantSpec, rng: random.Random,
-                      wid: int, issue: Callable, deadline: int,
-                      counters: dict, depth: int):
-        """One asynchronous closed-loop reader: keep ``depth`` requests
-        in flight, issuing replacements as completions arrive.
+    def _refill_driver(self, tenant: TenantSpec, ops, deadline: int,
+                       counters: dict, depth: int):
+        """Keep ``depth`` host or volume operations in flight through
+        the queue-depth interface (:meth:`HostInterface.submit`).
 
-        Host tenants ride the queue-depth interface itself
-        (:meth:`HostInterface.submit`): an initial ``depth``-wide batch,
-        then a refill batch per completion wave, so the window stays
-        full instead of draining to a barrier between rounds.  Every
-        other access kind uses a windowed process driver over the same
-        ``issue`` generator the synchronous worker uses.  Completions
-        are counted from the completion events themselves, so requests
-        still in flight when the window closes are counted if a
-        draining run lets them finish — matching the tracer's view.
+        An initial ``depth``-wide batch, then a refill batch per
+        completion wave, so the window stays full instead of draining
+        to a barrier between rounds.  Completions are counted from the
+        item events themselves, so requests still in flight when the
+        window closes are counted if a draining run lets them finish —
+        matching the tracer's view.
         """
         sim = self.sim
         name = tenant.name
-        start, size = self._window(tenant)
-        ops_stream = self._op_stream(tenant, rng, wid, start, size)
 
         def counted(event) -> None:
             counters[name] += 1
 
-        if tenant.access in ("host", "volume"):
-            node = self.nodes[tenant.node]
-            geometry = self.spec.geometry
-            if tenant.access == "volume":
-                iface = self._volume_ifaces[tenant.name]
-                volume = self.volumes[tenant.node]
-            else:
-                iface, volume = node.host, None
-            irq_coalesce = self.spec.irq_coalesce
+        node = self.nodes[tenant.node]
+        geometry = self.spec.geometry
+        if tenant.access == "volume":
+            iface = self._volume_ifaces[tenant.name]
+            volume = self.volumes[tenant.node]
+        else:
+            iface, volume = node.host, None
+        irq_coalesce = self.spec.irq_coalesce
 
-            def refill(count: int) -> List:
-                ops = []
-                for _ in range(count):
-                    kind, index = next(ops_stream)
-                    addr = (index if volume is not None
-                            else geometry.striped(index,
-                                                  node=tenant.node))
-                    if kind == "write":
-                        ops.append(("write", addr, self._page_fill))
-                    else:
-                        ops.append(("read", addr))
-                batch = iface.submit(
-                    ops, queue_depth=count,
-                    software_path=tenant.software_path,
-                    volume=volume, irq_coalesce=irq_coalesce)
-                for item in batch.items:
-                    item.event.callbacks.append(counted)
-                return list(batch.items)
+        def refill(count: int) -> List:
+            batch_ops = []
+            for _ in range(count):
+                kind, index = next(ops)
+                addr = (index if volume is not None
+                        else geometry.striped(index, node=tenant.node))
+                if kind == "write":
+                    batch_ops.append(("write", addr, self._page_fill))
+                else:
+                    batch_ops.append(("read", addr))
+            batch = iface.submit(
+                batch_ops, queue_depth=count,
+                software_path=tenant.software_path,
+                volume=volume, irq_coalesce=irq_coalesce)
+            for item in batch.items:
+                item.event.callbacks.append(counted)
+            return list(batch.items)
 
-            # Volume tenants refill in coalescible chunks: the PCIe link
-            # spaces their completions out one page at a time, so
-            # refilling per completion would feed the coalescer
-            # unmergeable singletons.  Waiting for a command's worth of
-            # drained window keeps replacement runs stripe-adjacent.
-            # (The floor is driver policy, deliberately independent of
-            # spec.coalesce, so on/off comparisons share one driver.)
-            refill_floor = (min(depth, self.spec.coalesce_max_pages)
-                            if volume is not None else 1)
-            pending_items = refill(depth)
-            while sim.now < deadline:
-                yield sim.any_of([item.event for item in pending_items])
-                pending_items = [item for item in pending_items
-                                 if not item.completed]
-                drained = depth - len(pending_items)
-                if sim.now < deadline and (drained >= refill_floor
-                                           or not pending_items):
-                    pending_items.extend(refill(drained))
-            return
-        pending: List = []
+        # Volume tenants refill in coalescible chunks: the PCIe link
+        # spaces their completions out one page at a time, so
+        # refilling per completion would feed the coalescer
+        # unmergeable singletons.  Waiting for a command's worth of
+        # drained window keeps replacement runs stripe-adjacent.
+        # (The floor is driver policy, deliberately independent of
+        # spec.coalesce, so on/off comparisons share one driver.)
+        refill_floor = (min(depth, self.spec.coalesce_max_pages)
+                        if volume is not None else 1)
+        pending_items = refill(depth)
+        refilled_at = sim.now
         while sim.now < deadline:
-            while len(pending) < depth:
-                kind, index = next(ops_stream)
-                proc = sim.process(issue(kind, index))
-                proc.callbacks.append(counted)
-                pending.append(proc)
-            round_start = sim.now
-            yield sim.any_of(pending)
-            pending = [p for p in pending if not p.triggered]
-            if sim.now == round_start and not pending:
-                # Every op in the wave completed in zero simulated
-                # time (e.g. map-answered volume reads of an unfilled
-                # window): force minimal progress so the measurement
-                # window cannot livelock at one timestep.
+            yield sim.any_of([item.event for item in pending_items])
+            pending_items = [item for item in pending_items
+                             if not item.completed]
+            if not pending_items and sim.now == refilled_at:
+                # The whole window completed in zero simulated time:
+                # pause 1 ns, as the closed-loop lanes do.
                 yield sim.timeout(1)
+            drained = depth - len(pending_items)
+            if sim.now < deadline and (drained >= refill_floor
+                                       or not pending_items):
+                pending_items.extend(refill(drained))
+                refilled_at = sim.now
 
     def _arrival_gaps(self, rng: random.Random, rate_rps: float):
         """Endless inter-arrival gaps (ns) for the workload's process.
@@ -687,8 +691,7 @@ class Session:
         scratch = [geometry.blocks_per_chip - 1 - i
                    for i in range(min(2, geometry.blocks_per_chip))]
         blocks = itertools.cycle(scratch)
-        addr_space = (geometry.pages_per_node if tenant.addr_space is None
-                      else min(tenant.addr_space, geometry.pages_per_node))
+        addr_space = self._addr_space(tenant)
 
         def scratch_addr(block: int, page: int) -> PhysAddr:
             return PhysAddr(node=tenant.node, card=card, bus=bus,
@@ -878,36 +881,6 @@ class Session:
         # use) could collide keys; keep the unambiguous raw labels then.
         return relabeled if len(relabeled) == len(stats) else stats
 
-    # ------------------------------------------------------------------
-    # custom driving (for experiments that are not pure tenant mixes)
-    # ------------------------------------------------------------------
-    def closed_loop(self, fetch_factory: Callable, n_workers: int,
-                    window_ns: int, counter: Optional[list] = None,
-                    seed_base: int = 0) -> None:
-        """Spawn workers that loop ``fetch_factory(rng)`` fetches until
-        the window closes (the Figure 13 driver, now shared).
-
-        ``fetch_factory`` is called with worker *i*'s private
-        ``Random(seed_base + i)`` and must return a generator that
-        performs one fetch.  ``counter`` (a one-element list) counts
-        completed fetches across all workers.
-        """
-        sim = self.sim
-
-        def worker(wid):
-            rng = random.Random(seed_base + wid)
-            while sim.now < window_ns:
-                yield from fetch_factory(rng)
-                if counter is not None:
-                    counter[0] += 1
-
-        for wid in range(n_workers):
-            sim.process(worker(wid))
-
-    def run_until(self, deadline_ns: Optional[int] = None) -> None:
-        """Advance the simulation (to ``deadline_ns``, or to drain)."""
-        self.sim.run(until=deadline_ns)
-
     def result(self, experiment: Optional[str] = None) -> RunResult:
         """Snapshot the session's tracer into a fresh RunResult."""
         result = RunResult(experiment=experiment or self.spec.name,
@@ -928,17 +901,24 @@ def drive_pipelined(sim: Simulator, op_factory: Callable, n_ops: int,
 
     The kernel-bypass-style async driver shared by the pipelined-host
     nearest-neighbour experiment and the tag-depth ablation:
-    ``op_factory(i)`` returns the generator for operation *i*; the
-    driver admits a new one whenever the window has room and drains the
-    tail.  Runs the simulation to completion.
+    ``op_factory(i)`` returns the generator for operation *i*;
+    ``outstanding`` lanes each run the next operation as soon as their
+    previous one completes.  Runs the simulation to completion and
+    raises :class:`~repro.sim.SimulationError` if it drains with
+    operations unfinished.
     """
-    def driver(sim):
-        pending = []
-        for i in range(n_ops):
-            pending.append(sim.process(op_factory(i)))
-            if len(pending) >= outstanding:
-                yield pending.pop(0)
-        for proc in pending:
-            yield proc
+    ops = iter(range(n_ops))
+    completed = [0]
 
-    sim.run_process(driver(sim))
+    def lane():
+        for i in ops:
+            yield from op_factory(i)
+            completed[0] += 1
+
+    for _ in range(min(outstanding, n_ops)):
+        sim.process(lane())
+    sim.run()
+    if completed[0] < n_ops:
+        raise SimulationError(
+            f"pipelined driver deadlocked: {completed[0]} of {n_ops} "
+            f"operations completed (event queue drained)")

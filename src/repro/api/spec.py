@@ -710,11 +710,11 @@ class WorkloadSpec:
 
     ``queue_depth`` sets how many requests each foreground worker keeps
     in flight.  The default (1) is the seed's synchronous closed loop —
-    issue, wait, repeat; deeper queues drive the asynchronous
-    submission path (host tenants ride
-    :meth:`~repro.host.iface.HostInterface.submit`, the other access
-    kinds a windowed process driver), which is what saturates the
-    card.  Background (GC) tenants always run synchronously — their
+    issue, wait, repeat; a depth of N runs N such loops over the
+    worker's one operation stream (host and volume tenants instead
+    refill batches through
+    :meth:`~repro.host.iface.HostInterface.submit`), which is what
+    saturates the card.  Background (GC) tenants always run synchronously — their
     read/relocate/erase loop is inherently ordered.
 
     ``arrival`` switches every foreground tenant from the closed loop

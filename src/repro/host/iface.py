@@ -18,11 +18,12 @@ Two submission disciplines share one per-operation flow:
   run the flow inline — queue depth 1, exactly the seed behavior;
 * :meth:`HostInterface.submit` is the queue-depth interface: it takes a
   whole batch of operations, returns immediately with a
-  :class:`~repro.io.batch.RequestBatch`, and pumps up to ``queue_depth``
-  flows concurrently.  Completions are delivered out of order as each
-  flow finishes — per-item events plus the batch's ``done`` event —
-  which is how the card's deep-queue bandwidth becomes reachable from
-  host software.
+  :class:`~repro.io.batch.RequestBatch`, and runs the flows on up to
+  ``queue_depth`` lanes, each taking the batch's next operation as its
+  previous one finishes.  Completions are delivered out of order as
+  each flow finishes — per-item events plus the batch's ``done`` event
+  — which is how the card's deep-queue bandwidth becomes reachable
+  from host software.
 
 Requests ride the unified I/O pipeline: when a
 :class:`~repro.io.tracer.RequestTracer` is attached (or the caller
@@ -34,7 +35,6 @@ RPC time is charged to the ``software`` stage, buffer waits to
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional
 
 from ..flash import PhysAddr, ReadResult
@@ -52,7 +52,7 @@ __all__ = ["HostInterface"]
 class HostInterface:
     """Software's RPC + DMA window onto the local storage device.
 
-    ``queue_depth`` is the default in-flight bound :meth:`submit` pumps
+    ``queue_depth`` is the default in-flight bound :meth:`submit` runs
     a batch at (overridable per call); the blocking single-request
     calls are always effectively queue depth 1.
     """
@@ -248,9 +248,10 @@ class HostInterface:
         like the tagged interface underneath.
 
         At most ``queue_depth`` operations (default: the interface's
-        :attr:`queue_depth`) are in flight at once; as each completes,
-        the pump launches the next, so a deep batch keeps the device's
-        queue full without the caller writing a driver loop.
+        :attr:`queue_depth`) are in flight at once: that many lanes
+        each run the batch's next operation as soon as their previous
+        one completes, so a deep batch keeps the device's queue full
+        without the caller writing a driver loop.
 
         ``software_path=False`` (the default) models the batched
         kernel-bypass submission loop the paper's bandwidth
@@ -294,39 +295,23 @@ class HostInterface:
                 self._irq_inflight += sum(
                     1 for item in batch.items
                     if item.kind is IOKind.READ)
-            self.sim.process(
-                self._pump(batch, depth, software_path, volume,
-                           irq_coalesce),
-                name=f"{self.tenant}-submit")
+            items = iter(batch.items)
+
+            def lane():
+                for item in items:
+                    yield from self._item_flow(batch, item, software_path,
+                                               volume, irq_coalesce)
+
+            for _ in range(min(depth, len(batch.items))):
+                self.sim.process(lane(), name=f"{self.tenant}-submit")
         return batch
-
-    def _pump(self, batch: RequestBatch, depth: int, software_path: bool,
-              volume, irq_coalesce: int):
-        """Keep up to ``depth`` of the batch's flows in flight."""
-        waiting = deque(batch.items)
-        pending: dict = {}
-
-        def launch():
-            while waiting and len(pending) < depth:
-                item = waiting.popleft()
-                proc = self.sim.process(
-                    self._item_flow(batch, item, software_path, volume,
-                                    irq_coalesce))
-                pending[proc] = item
-
-        launch()
-        while pending:
-            yield self.sim.any_of(list(pending))
-            for proc in [p for p in pending if p.triggered]:
-                del pending[proc]
-            launch()
 
     def _item_flow(self, batch: RequestBatch, item, software_path: bool,
                    volume=None, irq_coalesce: int = 1):
         """Run one batch item end to end and settle it.
 
         Failures are settled into the item (its event fails, carrying
-        the exception to any waiter) rather than raised — the pump must
+        the exception to any waiter) rather than raised — the lane must
         keep the rest of the batch moving.
         """
         result = None

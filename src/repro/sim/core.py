@@ -326,8 +326,8 @@ class _Condition(Event):
 
         Once the composite has fired, the losing siblings must not keep
         a reference to it: a long-lived pending event re-used across
-        many ``any_of`` waits (the async submission pump's completion
-        events, open-loop in-flight tails) would otherwise accumulate
+        many ``any_of`` waits (the refill driver's batch item events,
+        open-loop in-flight tails) would otherwise accumulate
         one dead callback per wait — unbounded memory growth and a
         linear callback scan when it finally fires.
         """

@@ -1,5 +1,11 @@
 """The Session facade: machine assembly and workload execution."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.api import (
@@ -9,9 +15,11 @@ from repro.api import (
     TenantSpec,
     TopologySpec,
     WorkloadSpec,
+    drive_pipelined,
 )
 from repro.core import BlueDBMCluster
 from repro.flash import FlashGeometry
+from repro.sim import SimulationError, Simulator
 
 SMALL_GEO = FlashGeometry(buses_per_card=4, chips_per_bus=4,
                           blocks_per_chip=4, pages_per_block=8,
@@ -142,6 +150,65 @@ def test_async_drain_counters_match_tracer(access):
     result = Session(spec).run()
     assert (result.metrics["completions"][access]
             == result.tenant_stats[access]["completed"])
+
+
+#: Runs one read-only tenant over an unfilled (all-unmapped) window.
+#: Every read is answered from the FTL map in zero simulated time.
+UNFILLED_RUN = """
+import json, sys
+from repro.api import (DistributedVolumeSpec, ScenarioSpec, Session,
+                       TenantSpec, VolumeSpec, WorkloadSpec)
+access, depth = sys.argv[1], int(sys.argv[2])
+unfilled = VolumeSpec(fill=0.0)
+machine = ({"volume": unfilled} if access == "volume" else
+           {"dvol": DistributedVolumeSpec(shards=1, volume=unfilled)})
+result = Session(ScenarioSpec(
+    name="unfilled", **machine,
+    workload=WorkloadSpec(duration_ns=1_000, queue_depth=depth, tenants=(
+        TenantSpec("t", access=access, software_path=False),)))).run()
+print(json.dumps([result.elapsed_ns, result.metrics["completions"]["t"]]))
+"""
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+@pytest.mark.parametrize("access", ["volume", "dvol"])
+def test_zero_time_reads_cannot_livelock_the_window(access, depth):
+    # Each zero-time completion costs 1 ns, so the 1 us window closes.
+    # A regression would spin at t=0 forever; the subprocess timeout
+    # turns that into a failure instead of a hung suite.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", UNFILLED_RUN, access, str(depth)],
+            env=env, check=True, capture_output=True, text=True,
+            timeout=60).stdout
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{access} at queue depth {depth} livelocked at t=0")
+    elapsed_ns, completed = json.loads(out)
+    assert elapsed_ns == 1_000
+    assert completed == 1_000 * depth
+
+
+def test_drive_pipelined_keeps_the_window_full_and_reports_a_stall():
+    sim = Simulator()
+    finished = []
+
+    def op(i):
+        yield sim.timeout(10)
+        finished.append((i, sim.now))
+
+    drive_pipelined(sim, op, 5, outstanding=2)
+    assert finished == [(0, 10), (1, 10), (2, 20), (3, 20), (4, 30)]
+
+    stuck = Simulator()
+
+    def never(i):
+        yield stuck.event()
+
+    with pytest.raises(SimulationError, match="deadlocked"):
+        drive_pipelined(stuck, never, 3, outstanding=2)
 
 
 def test_deterministic_reruns():

@@ -7,11 +7,13 @@ therefore delegates with ``yield from gen`` and spawns a process only
 where work really runs concurrently (arrival dispatchers and workers,
 multi-page lanes, stager dispatch, switch forwarding, dvol serving).
 
-Three guards keep it that way:
+Four guards keep it that way:
 
 * no awaited spawn anywhere in ``src/repro`` (an AST scan);
 * the exact number of processes and kernel tickets one uncontended
   request costs on each access path — deterministic, so pinned exactly;
+* queue depth N costs N processes, not one per operation: N in flight
+  is N lanes that each run their next operation inline;
 * failures still propagate through the inlined chain and unwind every
   admission slot on the way out.
 """
@@ -22,7 +24,13 @@ import pathlib
 import pytest
 
 import access_paths
-from repro.api import BENCH_GEOMETRY
+from repro.api import (
+    BENCH_GEOMETRY,
+    ScenarioSpec,
+    Session,
+    TenantSpec,
+    WorkloadSpec,
+)
 from repro.core import BlueDBMNode
 from repro.flash import UncorrectablePageError
 from repro.sim import Simulator
@@ -78,6 +86,31 @@ BUDGET = {
 def test_uncontended_request_kernel_cost_is_pinned(path):
     run = access_paths.PATHS[path]()
     assert (run.processes, run.events) == BUDGET[path]
+
+
+@pytest.mark.parametrize("items,depth", [(5, 2), (3, 8), (32, 4)])
+def test_submit_spawns_one_lane_per_slot(items, depth):
+    node = BlueDBMNode(Simulator(), geometry=BENCH_GEOMETRY)
+    node.sim.run()
+    ops = [("read", BENCH_GEOMETRY.striped(i)) for i in range(items)]
+    with access_paths._counting_processes() as created:
+        batch = node.host.submit(ops, queue_depth=depth)
+        node.sim.run()
+    assert batch.done.triggered
+    assert created[0] == min(depth, items)
+
+
+@pytest.mark.parametrize("window_ns", [1_000_000, 4_000_000])
+def test_closed_loop_depth_is_a_fixed_set_of_lanes(window_ns):
+    session = Session(ScenarioSpec(
+        name="lanes", geometry=BENCH_GEOMETRY,
+        workload=WorkloadSpec(duration_ns=window_ns, queue_depth=8,
+                              tenants=(TenantSpec("isp", access="isp"),))))
+    with access_paths._counting_processes() as created:
+        result = session.run()
+    # Many more operations complete than there are lanes.
+    assert result.metrics["completions"]["isp"] > 8 * 8
+    assert created[0] == 8
 
 
 def test_uncorrectable_read_unwinds_the_inlined_chain():
